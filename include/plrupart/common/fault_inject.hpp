@@ -13,7 +13,6 @@
 // Sites:
 //   read    ByteReader::fill() — a trace-stream read fails mid-run
 //   write   journal/CSV record commit (AtomicFile) — a result write fails
-//   worker  a set-shard worker dies at an owned L2 access (sharded runs)
 //
 // Injected faults throw InjectedFault, a TransientError: the SweepExecutor
 // retry budget (--job-retries) treats them exactly like real I/O failures.
@@ -39,20 +38,19 @@ class PLRUPART_EXPORT InjectedFault : public TransientError {
   using TransientError::TransientError;
 };
 
-enum class FaultSite : std::uint8_t { kRead = 0, kWrite = 1, kWorker = 2 };
+enum class FaultSite : std::uint8_t { kRead = 0, kWrite = 1 };
 
 [[nodiscard]] constexpr const char* fault_site_name(FaultSite s) noexcept {
   switch (s) {
     case FaultSite::kRead: return "read";
     case FaultSite::kWrite: return "write";
-    case FaultSite::kWorker: return "worker";
   }
   return "?";
 }
 
 /// Per-site failure probabilities. Value type; all-zero means "no injection".
 struct PLRUPART_EXPORT FaultSpec {
-  std::array<double, 3> probability{};  ///< indexed by FaultSite
+  std::array<double, 2> probability{};  ///< indexed by FaultSite
 
   [[nodiscard]] double of(FaultSite s) const noexcept {
     return probability[static_cast<std::size_t>(s)];
@@ -64,8 +62,8 @@ struct PLRUPART_EXPORT FaultSpec {
   }
 
   /// Parse the --fault-inject grammar: a comma-separated list of
-  /// `<site>:<probability>` items, site in {read, write, worker}, probability
-  /// a decimal in [0, 1]. Example: "read:0.002,worker:1e-5". Repeated sites,
+  /// `<site>:<probability>` items, site in {read, write}, probability
+  /// a decimal in [0, 1]. Example: "read:0.002,write:1e-5". Repeated sites,
   /// unknown sites, and out-of-range probabilities throw InvariantError.
   static FaultSpec parse(const std::string& text);
 };
@@ -73,7 +71,8 @@ struct PLRUPART_EXPORT FaultSpec {
 /// A spec bound to a seed: the deterministic oracle every instrumented site
 /// consults. Immutable and stateless — safe to share across threads; callers
 /// supply their own opportunity counters (and a lane id when several actors
-/// of the same site run concurrently, e.g. shard workers).
+/// of the same site run concurrently, e.g. the trace readers of one job's
+/// cores).
 class PLRUPART_EXPORT FaultPlan {
  public:
   FaultPlan(FaultSpec spec, std::uint64_t seed) noexcept : spec_(spec), seed_(seed) {}

@@ -13,10 +13,12 @@
 #include "plrupart/export.hpp"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "plrupart/cache/geometry.hpp"
+#include "plrupart/common/fault_inject.hpp"
 #include "plrupart/sim/cmp_simulator.hpp"
 #include "plrupart/workloads/workload_table.hpp"
 
@@ -37,12 +39,12 @@ struct PLRUPART_EXPORT RunSpec {
   /// Per-job deterministic seed (feeds trace generation and the L2's RNG).
   /// Derived from the matrix position — see RunMatrix::job_seed().
   std::uint64_t seed = 1;
-  /// Intra-run set-shard workers (SimConfig::sim_threads): 1 = serial,
-  /// 0 = hardware concurrency. Results are identical at any value, so this is
-  /// a performance knob, not part of the job's identity (key() ignores it).
+  /// Unused: execute() never reads it, and set-sharded replay (which it used
+  /// to select) was removed. It remains only because e2ebench/src/harness.cpp
+  /// still copies it into SimConfig::sim_threads; drop both with that line.
   std::uint32_t sim_threads = 1;
-  /// Timing mode (SimConfig::timing_mode). Unlike sim_threads this IS part of
-  /// the job's identity — timed results carry extra columns and different
+  /// Timing mode (SimConfig::timing_mode). This IS part of the job's
+  /// identity — timed results carry extra columns and different
   /// cycle counts — so jobs_fingerprint folds it in (timed jobs only, keeping
   /// every pre-timed functional journal fingerprint unchanged).
   sim::TimingMode timing = sim::TimingMode::kFunctional;
@@ -53,18 +55,16 @@ struct PLRUPART_EXPORT RunSpec {
 };
 
 /// Run one job to completion. Deterministic: identical RunSpecs produce
-/// bit-identical SimResults on any machine, single-threaded or set-sharded
-/// (sim_threads).
+/// bit-identical SimResults on any machine.
 [[nodiscard]] PLRUPART_EXPORT sim::SimResult execute(const RunSpec& spec);
 
-/// Supervision knobs threaded into a single job's execution. Like
-/// RunSpec::sim_threads these are NOT part of the job's identity: they decide
-/// whether a run survives, never what it computes, so key()/fingerprints
-/// ignore them.
+/// Supervision knobs threaded into a single job's execution. These are NOT
+/// part of the job's identity: they decide whether a run survives, never what
+/// it computes, so key()/fingerprints ignore them.
 struct PLRUPART_EXPORT ExecuteControls {
   double timeout_s = 0.0;  ///< watchdog deadline (0 = none); see SimConfig
   /// Fault plan armed on this job's trace readers (FaultSite::kRead, lane =
-  /// core) and shard workers (FaultSite::kWorker, lane = shard).
+  /// core).
   std::shared_ptr<const FaultPlan> faults;
 };
 
@@ -73,8 +73,8 @@ struct PLRUPART_EXPORT ExecuteControls {
                                                      const ExecuteControls& controls);
 
 /// Content fingerprint of a job list: folds every identity field of every
-/// job (position, config, workload, geometries, quotas, seed — but NOT
-/// sim_threads, which is a performance knob) into one stable 64-bit value.
+/// job (position, config, workload, geometries, quotas, seed, timing mode)
+/// into one stable 64-bit value.
 /// The journal stamps this into every record so --resume can prove the
 /// on-disk state belongs to THIS matrix and not a stale or edited one.
 [[nodiscard]] PLRUPART_EXPORT std::uint64_t jobs_fingerprint(const std::vector<RunSpec>& jobs);
@@ -94,7 +94,6 @@ struct PLRUPART_EXPORT RunMatrix {
   std::uint64_t interval_cycles = 1'000'000;
   std::uint32_t sampling_ratio = 32;
   std::uint64_t seed = 1;  ///< root seed; per-job seeds derive from it
-  std::uint32_t sim_threads = 1;  ///< intra-run set-shard workers per job
   sim::TimingMode timing = sim::TimingMode::kFunctional;  ///< all jobs' timing mode
 
   /// Number of jobs in the full matrix.

@@ -67,12 +67,6 @@ class PLRUPART_EXPORT MemoryHierarchy {
   [[nodiscard]] const core::PartitionedCacheSystem& l2() const noexcept { return *l2_; }
   [[nodiscard]] const cache::SetAssocCache& l1d(cache::CoreId core) const;
   [[nodiscard]] const HierarchyCounters& counters(cache::CoreId core) const;
-  /// Mutable L1/counter access for the set-sharded simulator: its demux
-  /// thread drives the private L1s directly (they filter the streams the
-  /// shard workers consume), and the driver installs the replicated counters
-  /// when the workers join.
-  [[nodiscard]] cache::SetAssocCache& l1d_mut(cache::CoreId core);
-  void set_counters(cache::CoreId core, const HierarchyCounters& ctr);
   [[nodiscard]] std::uint32_t num_cores() const noexcept { return config_.l2.num_cores; }
 
   void reset();

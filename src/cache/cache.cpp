@@ -72,10 +72,10 @@ WayMask SetAssocCache::eviction_mask(std::uint64_t set, CoreId core) const {
   return valid != 0 ? valid : all_ways_;
 }
 
-// The serial hot path. The externalized-stats 4-arg overload lives in
-// cache_shard_access.cpp so its access_impl instantiations cannot perturb
-// this TU's codegen, and the AVX tiers live in src/cache/simd/access_*.cpp
-// (the only TUs built with the matching -m flags) — see access_impl.ipp.
+// The per-op hot path. The batch drivers live in cache_batch.cpp so their
+// access_impl instantiations cannot perturb this TU's codegen, and the AVX
+// tiers live in src/cache/simd/access_*.cpp (the only TUs built with the
+// matching -m flags) — see access_impl.ipp.
 AccessOutcome SetAssocCache::access(CoreId core, Addr addr, bool write) {
   switch (dispatch_) {
 #if defined(PLRUPART_SIMD_AVX2)

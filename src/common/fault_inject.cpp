@@ -10,14 +10,14 @@ namespace {
 [[noreturn]] void spec_error(const std::string& text, const std::string& why) {
   throw InvariantError("bad --fault-inject spec \"" + text + "\": " + why +
                        " (expected comma-separated <site>:<probability> with site in "
-                       "{read, write, worker} and probability in [0, 1])");
+                       "{read, write} and probability in [0, 1])");
 }
 
 }  // namespace
 
 FaultSpec FaultSpec::parse(const std::string& text) {
   FaultSpec spec;
-  std::array<bool, 3> seen{};
+  std::array<bool, 2> seen{};
   std::istringstream in(text);
   std::string item;
   bool got_any = false;
@@ -31,8 +31,6 @@ FaultSpec FaultSpec::parse(const std::string& text) {
       site = FaultSite::kRead;
     } else if (site_name == "write") {
       site = FaultSite::kWrite;
-    } else if (site_name == "worker") {
-      site = FaultSite::kWorker;
     } else {
       spec_error(text, "unknown site \"" + std::string(site_name) + "\"");
     }

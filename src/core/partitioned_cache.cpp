@@ -202,12 +202,6 @@ const Profiler& PartitionedCacheSystem::profiler(cache::CoreId core) const {
   return *profilers_[core];
 }
 
-Profiler& PartitionedCacheSystem::profiler_mut(cache::CoreId core) {
-  PLRUPART_ASSERT(config_.partitioned());
-  PLRUPART_ASSERT(core < profilers_.size());
-  return *profilers_[core];
-}
-
 Partition PartitionedCacheSystem::current_partition() const {
   if (controller_) return controller_->current();
   // Unpartitioned: every core can use the whole cache.

@@ -1,20 +1,33 @@
 #include "plrupart/sim/cmp_simulator.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <limits>
-#include <string>
-
 #include "plrupart/common/error.hpp"
-#include "sim/sharded_replay.hpp"
+#include "sim/replay_driver.hpp"
 
 namespace plrupart::sim {
+namespace {
+
+/// Functional pricing: the window reports the CoreModel clocks that also
+/// drive the interleave (fixed L2/memory penalties), so there is nothing to add.
+struct FunctionalPricing {
+  static constexpr const char* kLabel = "serial run";
+  void on_access(std::uint32_t /*core*/, const MemOp& /*op*/, const L2Echo& /*echo*/) {}
+  void open_window() {}
+  void close_window(std::uint32_t /*core*/) {}
+  [[nodiscard]] double clock(std::uint32_t /*core*/, const CoreModel& model) const {
+    return model.cycles();
+  }
+  void finish(SimResult& /*out*/) const {}
+};
+
+}  // namespace
 
 CmpSimulator::CmpSimulator(SimConfig config, std::vector<std::unique_ptr<TraceSource>> traces)
     : config_(std::move(config)), traces_(std::move(traces)) {
   const std::uint32_t cores = config_.hierarchy.l2.num_cores;
   PLRUPART_ASSERT_MSG(traces_.size() == cores, "one trace per core required");
   PLRUPART_ASSERT(config_.instr_limit > 0);
+  PLRUPART_ASSERT_MSG(config_.sim_threads == 1,
+                      "set-sharded replay was removed; SimConfig::sim_threads must be 1");
   if (config_.cores.size() == 1 && cores > 1) {
     config_.cores.assign(cores, config_.cores.front());
   }
@@ -34,105 +47,8 @@ SimResult CmpSimulator::run() {
   ran_ = true;
 
   if (config_.timing_mode == TimingMode::kTimed) return run_timed();
-
-  const std::uint32_t shards = internal::resolve_sim_shards(config_);
-  if (shards > 1) {
-    return internal::run_set_sharded(config_, traces_, *hierarchy_, shards);
-  }
-  return run_serial();
-}
-
-SimResult CmpSimulator::run_serial() {
-  const std::uint32_t n = hierarchy_->num_cores();
-  std::vector<CoreModel> models;
-  models.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) models.emplace_back(config_.cores[i]);
-
-  struct Baseline {
-    std::uint64_t instructions = 0;
-    double cycles = 0.0;
-    HierarchyCounters mem;
-  };
-  std::vector<Baseline> baselines(n);
-  bool windows_open = config_.warmup_instr == 0;
-
-  std::vector<bool> frozen(n, false);
-  std::vector<ThreadResult> results(n);
-  std::uint32_t remaining = n;
-
-  // Watchdog: wall time is only ever compared against the deadline — it
-  // decides whether the run dies, never what the run computes.
-  const bool has_deadline = config_.timeout_s > 0.0;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(has_deadline ? config_.timeout_s : 0.0));
-  std::uint64_t ops_since_poll = 0;
-
-  while (remaining > 0) {
-    if (has_deadline && (++ops_since_poll & 0xfffU) == 0 &&
-        std::chrono::steady_clock::now() >= deadline) {
-      throw TimeoutError("simulation exceeded watchdog deadline of " +
-                         std::to_string(config_.timeout_s) + " s (serial run)");
-    }
-    // Advance the core with the smallest local clock (finished cores keep
-    // running to preserve contention, with frozen statistics).
-    std::uint32_t core = 0;
-    double min_cycles = std::numeric_limits<double>::infinity();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (models[i].cycles() < min_cycles) {
-        min_cycles = models[i].cycles();
-        core = i;
-      }
-    }
-
-    const MemOp op = traces_[core]->next();
-    models[core].commit_gap(op.gap_instrs);
-    const auto now = static_cast<std::uint64_t>(models[core].cycles());
-    const AccessLevel level = hierarchy_->access(core, op.addr, op.write, now);
-    models[core].commit_mem(level);
-
-    if (!windows_open) {
-      // Windows open for everyone at once, when the slowest core has warmed.
-      std::uint64_t min_instr = models[0].instructions();
-      for (std::uint32_t i = 1; i < n; ++i)
-        min_instr = std::min(min_instr, models[i].instructions());
-      if (min_instr >= config_.warmup_instr) {
-        windows_open = true;
-        for (std::uint32_t i = 0; i < n; ++i) {
-          baselines[i].instructions = models[i].instructions();
-          baselines[i].cycles = models[i].cycles();
-          baselines[i].mem = hierarchy_->counters(i);
-        }
-      }
-      continue;
-    }
-
-    if (!frozen[core] &&
-        models[core].instructions() >= baselines[core].instructions + config_.instr_limit) {
-      frozen[core] = true;
-      --remaining;
-      const Baseline& base = baselines[core];
-      ThreadResult& r = results[core];
-      r.benchmark = traces_[core]->name();
-      r.instructions = models[core].instructions() - base.instructions;
-      r.cycles = models[core].cycles() - base.cycles;
-      r.ipc = r.cycles > 0.0 ? static_cast<double>(r.instructions) / r.cycles : 0.0;
-      const HierarchyCounters& now_mem = hierarchy_->counters(core);
-      r.mem.l1_accesses = now_mem.l1_accesses - base.mem.l1_accesses;
-      r.mem.l1_misses = now_mem.l1_misses - base.mem.l1_misses;
-      r.mem.l2_accesses = now_mem.l2_accesses - base.mem.l2_accesses;
-      r.mem.l2_misses = now_mem.l2_misses - base.mem.l2_misses;
-    }
-  }
-
-  SimResult out;
-  out.threads = std::move(results);
-  for (const auto& t : out.threads) out.wall_cycles = std::max(out.wall_cycles, t.cycles);
-  const auto* ctrl = hierarchy_->l2().controller();
-  out.repartitions = ctrl ? ctrl->history().size() : 0;
-  out.l2_config = hierarchy_->l2().config().acronym();
-  return out;
+  FunctionalPricing pricing;
+  return internal::replay(config_, traces_, *hierarchy_, pricing);
 }
 
 }  // namespace plrupart::sim

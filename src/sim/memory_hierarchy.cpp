@@ -58,16 +58,6 @@ const HierarchyCounters& MemoryHierarchy::counters(cache::CoreId core) const {
   return counters_[core];
 }
 
-cache::SetAssocCache& MemoryHierarchy::l1d_mut(cache::CoreId core) {
-  PLRUPART_ASSERT(core < l1d_.size());
-  return *l1d_[core];
-}
-
-void MemoryHierarchy::set_counters(cache::CoreId core, const HierarchyCounters& ctr) {
-  PLRUPART_ASSERT(core < counters_.size());
-  counters_[core] = ctr;
-}
-
 void MemoryHierarchy::reset() {
   for (auto& l1 : l1d_) l1->reset();
   l2_->reset();

@@ -1,14 +1,13 @@
-// Timed-mode replay loop (CmpSimulator::run_timed).
+// Timed-mode pricing hook (CmpSimulator::run_timed).
 //
-// Decision-match by construction: the interleave (argmin over FUNCTIONAL core
-// clocks), the trace consumption, and the `now` stamps handed to the L2 are
-// copied verbatim from run_serial — so the shared L2 observes the exact same
-// access stream in both modes, the profilers gather the same histograms, and
-// the interval controller takes the exact same partition decisions at the
-// exact same access positions. The timed overlay runs beside that stream: a
-// second per-core clock charges memory latency from the event-driven
-// MSHR/writeback/banked-DRAM model (TimedMemory) instead of the fixed
-// penalties, and those clocks are what the SimResult reports.
+// Decision-match by construction: timed mode runs the same replay loop as
+// functional mode (replay_driver.hpp) — same interleave over FUNCTIONAL core
+// clocks, same trace consumption, same `now` stamps to the L2 — so the
+// shared L2 observes the exact same access stream and the interval
+// controller takes the exact same partition decisions. This hook runs beside
+// that stream: a second per-core clock charges memory latency from the
+// event-driven MSHR/writeback/banked-DRAM model (TimedMemory) instead of the
+// fixed penalties, and those clocks are what the SimResult reports.
 //
 // A core keeps at most one L2 transaction in flight (its `outstanding`
 // ticket). L1 hits retire under it — hit-under-miss — and the fill is awaited
@@ -16,160 +15,100 @@
 // fraction of whatever latency is still uncovered at that point. Cross-core
 // concurrency is real: many cores' fills occupy MSHRs and DRAM banks at once,
 // which is where queueing, coalescing, and bank conflicts come from.
-#include <algorithm>
-#include <chrono>
-#include <limits>
-#include <string>
+#include <vector>
 
-#include "plrupart/common/error.hpp"
 #include "plrupart/sim/cmp_simulator.hpp"
+#include "sim/replay_driver.hpp"
 
 namespace plrupart::sim {
+namespace {
 
-SimResult CmpSimulator::run_timed() {
-  const std::uint32_t n = hierarchy_->num_cores();
-  const cache::Geometry& l2geo = config_.hierarchy.l2.geometry;
-  std::vector<CoreModel> models;  // functional clocks: drive the interleave
-  models.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) models.emplace_back(config_.cores[i]);
+class TimedPricing {
+ public:
+  static constexpr const char* kLabel = "timed run";
 
-  TimedMemory memory(config_.timed, l2geo);
+  explicit TimedPricing(const SimConfig& config)
+      : config_(config),
+        l2geo_(config.hierarchy.l2.geometry),
+        memory_(config.timed, l2geo_),
+        tcores_(config.hierarchy.l2.num_cores) {}
 
+  // Same committed instructions as the functional clock, latency from the model.
+  void on_access(std::uint32_t core, const MemOp& op, const L2Echo& echo) {
+    TimedCore& tc = tcores_[core];
+    const CoreParams& cp = config_.cores[core];
+    tc.cycles += (static_cast<double>(op.gap_instrs) + 1.0) / cp.base_ipc;
+    if (!echo.reached_l2) return;
+    // One demand transaction in flight per core: the previous one must
+    // retire before the next issues (L1 hits in between already proceeded).
+    charge_retire(core);
+    const auto t_issue = static_cast<std::uint64_t>(tc.cycles);
+    const cache::Addr line = l2geo_.line_addr(op.addr);
+    if (echo.hit) {
+      const auto tk = memory_.hit(t_issue, line, echo.way, op.write);
+      if (tk.valid) {
+        // Fill still in flight: this "hit" waits on the fill, not the array.
+        tc.outstanding = tk;
+        tc.has_outstanding = true;
+      } else {
+        tc.cycles += static_cast<double>(config_.timed.l2_hit_cycles) * cp.stall_fraction;
+      }
+    } else {
+      tc.outstanding = memory_.miss(t_issue, line, echo.way, op.write, echo.evicted_valid,
+                                    echo.evicted_line);
+      tc.has_outstanding = true;
+    }
+  }
+
+  // Settle every in-flight transaction so the measured window starts from a
+  // clean overlay, then restart peak tracking.
+  void open_window() {
+    for (std::uint32_t i = 0; i < tcores_.size(); ++i) charge_retire(i);
+    memory_.mark();
+    stats_base_ = memory_.stats();
+  }
+
+  void close_window(std::uint32_t core) { charge_retire(core); }  // quota's last miss
+
+  [[nodiscard]] double clock(std::uint32_t core, const CoreModel& /*functional*/) const {
+    return tcores_[core].cycles;
+  }
+
+  void finish(SimResult& out) const {
+    out.timing = TimingMode::kTimed;
+    out.timed = memory_.stats().delta_since(stats_base_);
+  }
+
+ private:
   struct TimedCore {
     double cycles = 0.0;  ///< the timed clock (what this mode reports)
     TimedMemory::Ticket outstanding{};
     bool has_outstanding = false;
   };
-  std::vector<TimedCore> tcores(n);
 
   // Await core's in-flight L2 transaction and charge the exposed remainder.
-  auto charge_retire = [&](std::uint32_t core) {
-    TimedCore& tc = tcores[core];
+  void charge_retire(std::uint32_t core) {
+    TimedCore& tc = tcores_[core];
     if (!tc.has_outstanding) return;
-    const auto done = static_cast<double>(memory.retire(tc.outstanding));
+    const auto done = static_cast<double>(memory_.retire(tc.outstanding));
     tc.has_outstanding = false;
     if (done > tc.cycles) {
       tc.cycles += (done - tc.cycles) * config_.cores[core].stall_fraction;
     }
-  };
-
-  struct Baseline {
-    std::uint64_t instructions = 0;
-    double cycles = 0.0;
-    HierarchyCounters mem;
-  };
-  std::vector<Baseline> baselines(n);
-  bool windows_open = config_.warmup_instr == 0;
-  TimedStats stats_base;  // snapshot of the overlay counters at window open
-
-  std::vector<bool> frozen(n, false);
-  std::vector<ThreadResult> results(n);
-  std::uint32_t remaining = n;
-
-  const bool has_deadline = config_.timeout_s > 0.0;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(has_deadline ? config_.timeout_s : 0.0));
-  std::uint64_t ops_since_poll = 0;
-
-  while (remaining > 0) {
-    if (has_deadline && (++ops_since_poll & 0xfffU) == 0 &&
-        std::chrono::steady_clock::now() >= deadline) {
-      throw TimeoutError("simulation exceeded watchdog deadline of " +
-                         std::to_string(config_.timeout_s) + " s (timed run)");
-    }
-    // Identical to run_serial: smallest FUNCTIONAL clock goes next.
-    std::uint32_t core = 0;
-    double min_cycles = std::numeric_limits<double>::infinity();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (models[i].cycles() < min_cycles) {
-        min_cycles = models[i].cycles();
-        core = i;
-      }
-    }
-
-    const MemOp op = traces_[core]->next();
-    models[core].commit_gap(op.gap_instrs);
-    const auto now = static_cast<std::uint64_t>(models[core].cycles());
-    L2Echo echo;
-    const AccessLevel level = hierarchy_->access(core, op.addr, op.write, now, echo);
-    models[core].commit_mem(level);
-
-    // The timed overlay: same committed instructions, latency from the model.
-    TimedCore& tc = tcores[core];
-    const CoreParams& cp = config_.cores[core];
-    tc.cycles += (static_cast<double>(op.gap_instrs) + 1.0) / cp.base_ipc;
-    if (echo.reached_l2) {
-      // One demand transaction in flight per core: the previous one must
-      // retire before the next issues (L1 hits in between already proceeded).
-      charge_retire(core);
-      const auto t_issue = static_cast<std::uint64_t>(tc.cycles);
-      const cache::Addr line = l2geo.line_addr(op.addr);
-      if (echo.hit) {
-        const auto tk = memory.hit(t_issue, line, echo.way, op.write);
-        if (tk.valid) {
-          // Fill still in flight: this "hit" waits on the fill, not the array.
-          tc.outstanding = tk;
-          tc.has_outstanding = true;
-        } else {
-          tc.cycles += static_cast<double>(config_.timed.l2_hit_cycles) * cp.stall_fraction;
-        }
-      } else {
-        tc.outstanding = memory.miss(t_issue, line, echo.way, op.write, echo.evicted_valid,
-                                     echo.evicted_line);
-        tc.has_outstanding = true;
-      }
-    }
-
-    if (!windows_open) {
-      std::uint64_t min_instr = models[0].instructions();
-      for (std::uint32_t i = 1; i < n; ++i)
-        min_instr = std::min(min_instr, models[i].instructions());
-      if (min_instr >= config_.warmup_instr) {
-        windows_open = true;
-        // Settle every in-flight transaction so the measured window starts
-        // from a clean overlay, then restart peak tracking.
-        for (std::uint32_t i = 0; i < n; ++i) charge_retire(i);
-        for (std::uint32_t i = 0; i < n; ++i) {
-          baselines[i].instructions = models[i].instructions();
-          baselines[i].cycles = tcores[i].cycles;
-          baselines[i].mem = hierarchy_->counters(i);
-        }
-        memory.mark();
-        stats_base = memory.stats();
-      }
-      continue;
-    }
-
-    if (!frozen[core] &&
-        models[core].instructions() >= baselines[core].instructions + config_.instr_limit) {
-      frozen[core] = true;
-      --remaining;
-      charge_retire(core);  // the quota's last miss belongs to the window
-      const Baseline& base = baselines[core];
-      ThreadResult& r = results[core];
-      r.benchmark = traces_[core]->name();
-      r.instructions = models[core].instructions() - base.instructions;
-      r.cycles = tc.cycles - base.cycles;
-      r.ipc = r.cycles > 0.0 ? static_cast<double>(r.instructions) / r.cycles : 0.0;
-      const HierarchyCounters& now_mem = hierarchy_->counters(core);
-      r.mem.l1_accesses = now_mem.l1_accesses - base.mem.l1_accesses;
-      r.mem.l1_misses = now_mem.l1_misses - base.mem.l1_misses;
-      r.mem.l2_accesses = now_mem.l2_accesses - base.mem.l2_accesses;
-      r.mem.l2_misses = now_mem.l2_misses - base.mem.l2_misses;
-    }
   }
 
-  SimResult out;
-  out.threads = std::move(results);
-  for (const auto& t : out.threads) out.wall_cycles = std::max(out.wall_cycles, t.cycles);
-  const auto* ctrl = hierarchy_->l2().controller();
-  out.repartitions = ctrl ? ctrl->history().size() : 0;
-  out.l2_config = hierarchy_->l2().config().acronym();
-  out.timing = TimingMode::kTimed;
-  out.timed = memory.stats().delta_since(stats_base);
-  return out;
+  const SimConfig& config_;
+  const cache::Geometry& l2geo_;
+  TimedMemory memory_;
+  std::vector<TimedCore> tcores_;
+  TimedStats stats_base_;  ///< overlay counters at window open
+};
+
+}  // namespace
+
+SimResult CmpSimulator::run_timed() {
+  TimedPricing pricing(config_);
+  return internal::replay(config_, traces_, *hierarchy_, pricing);
 }
 
 }  // namespace plrupart::sim

@@ -27,10 +27,9 @@
 //   --seed N           root seed (per-job seeds derive from it)  [1]
 //   --csv PATH         write CSV to PATH instead of stdout
 //
-// Scale-out flags:
+// Scale-out flags (parallelism is across jobs; each job replays serially):
 //   --threads N        worker threads; 0 = one per hardware thread  [0]
 //   --shard i/n        run slice i of an n-way split of the matrix
-//   --sim-threads K    intra-run set-shard workers per job; 0 = hardware  [1]
 //   --progress         per-job completion lines on stderr
 //
 // Timing flags:
@@ -114,9 +113,6 @@ void print_usage() {
       "             --line N [128]  --interval N [1000000]  --sampling N [32]\n"
       "             --seed N [1]  --csv PATH (default: stdout)\n"
       "scale-out:   --threads N [0 = all hardware threads]  --shard i/n  --progress\n"
-      "             --sim-threads K [1]  intra-run set-shard workers per job\n"
-      "                                  (0 = all hardware threads; results are\n"
-      "                                  byte-identical to serial at any K)\n"
       "timing:      --timing MODE [functional]  functional | timed; timed runs the\n"
       "                             event-driven MSHR/banked-DRAM overlay (same\n"
       "                             partition decisions, extra CSV columns)\n"
@@ -126,7 +122,7 @@ void print_usage() {
       "             --retry-backoff-ms B [100]  backoff base between attempts\n"
       "             --job-timeout S [0 = none]  per-job watchdog in seconds\n"
       "             --fault-inject SITE:P[,SITE:P...]  deterministic fault\n"
-      "                             injection; sites read, write, worker (also\n"
+      "                             injection; sites read, write (also\n"
       "                             via PLRUPART_FAULT_INJECT; the flag wins)\n"
       "other:       --version  print packaged version + git describe\n");
 }
@@ -207,8 +203,6 @@ runner::RunMatrix parse_matrix(const Cli& cli) {
   m.sampling_ratio =
       static_cast<std::uint32_t>(get_count(cli, "--sampling", 32, 1, kU32Max));
   m.seed = get_count(cli, "--seed", 1, 0);
-  m.sim_threads = static_cast<std::uint32_t>(
-      get_count(cli, "--sim-threads", 1, 0, kU32Max));
   m.timing = sim::timing_mode_from_string(cli.get_string("--timing", "functional"));
   return m;
 }
@@ -383,7 +377,7 @@ bool check_args(int argc, char** argv) {
       "--workload", "--benchmarks", "--config",   "--configs",  "--instr",
       "--warmup",   "--l2-kb",      "--l2-kb-sweep", "--assoc", "--line",
       "--interval", "--sampling",   "--seed",     "--csv",      "--threads",
-      "--shard",    "--merge-csv",  "--trace",    "--sim-threads", "--timing",
+      "--shard",    "--merge-csv",  "--trace",    "--timing",
       "--journal",  "--job-retries", "--retry-backoff-ms", "--job-timeout",
       "--fault-inject"};
   static constexpr std::string_view kBoolFlags[] = {"--help",         "-h",

@@ -9,7 +9,7 @@
 #      final CSV byte-identical to an uninterrupted run.
 #   2. Journal misuse fails loudly: fresh run over an existing journal,
 #      resume with a different matrix.
-#   3. Injected faults (read/write/worker sites, --fault-inject) plus
+#   3. Injected faults (read/write sites, --fault-inject) plus
 #      --job-retries recover to byte-identical CSVs; an exhausted retry
 #      budget surfaces the last error; PLRUPART_FAULT_INJECT is honored and
 #      the flag overrides it.
@@ -94,10 +94,6 @@ for spec in read:0.05 write:0.5 read:0.02,write:0.3; do
       --journal "j_$out" --csv "$out" || die "fault run '$spec' did not recover"
   cmp -s base_quick.csv "$out" || die "fault run '$spec' changed the CSV"
 done
-
-"$CLI" "${QUICK[@]}" --sim-threads 2 --fault-inject worker:0.0000005 --job-retries 12 \
-    --retry-backoff-ms 0 --csv worker_fault.csv || die "worker-fault run did not recover"
-cmp -s base_quick.csv worker_fault.csv || die "worker-fault run changed the CSV"
 
 # Write faults hit the supervised (retryable) journal-record commits, so the
 # exhaustion and env legs run journaled.

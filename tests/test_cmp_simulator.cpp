@@ -156,5 +156,27 @@ TEST(CmpSimulator, RunIsSingleShot) {
   EXPECT_THROW((void)sim.run(), InvariantError);
 }
 
+TEST(CmpSimulator, SimThreadsOtherThanOneRejected) {
+  // Set-sharded replay is gone: a K > 1 request must fail loudly rather than
+  // silently run serial.
+  for (const std::uint32_t k : {0u, 2u}) {
+    SimConfig cfg;
+    cfg.hierarchy = small_hierarchy(2, "M-BT");
+    cfg.cores.push_back(benchmark("gzip").core);
+    cfg.sim_threads = k;
+    std::vector<std::unique_ptr<TraceSource>> traces;
+    traces.push_back(make_trace(benchmark("gzip"), 0, 1));
+    traces.push_back(make_trace(benchmark("art"), 1, 1));
+    try {
+      CmpSimulator sim(std::move(cfg), std::move(traces));
+      ADD_FAILURE() << "sim_threads=" << k << " must be rejected";
+    } catch (const InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find("set-sharded replay was removed"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace plrupart::sim

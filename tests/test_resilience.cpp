@@ -20,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/atomic_file.hpp"
@@ -95,17 +96,18 @@ std::string slurp(const fs::path& p) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultSpec, ParsesSitesAndProbabilities) {
-  const auto s = FaultSpec::parse("read:0.25,worker:1");
+  const auto s = FaultSpec::parse("read:0.25");
   EXPECT_DOUBLE_EQ(s.of(FaultSite::kRead), 0.25);
   EXPECT_DOUBLE_EQ(s.of(FaultSite::kWrite), 0.0);
-  EXPECT_DOUBLE_EQ(s.of(FaultSite::kWorker), 1.0);
   EXPECT_TRUE(s.any());
+  EXPECT_DOUBLE_EQ(FaultSpec::parse("write:1,read:0").of(FaultSite::kWrite), 1.0);
   EXPECT_FALSE(FaultSpec{}.any());
 }
 
 TEST(FaultSpec, RejectsMalformedSpecs) {
   for (const char* bad : {"", "read", "read:", "read:abc", "read:1.5", "read:-0.1",
-                          "frobnicate:0.5", "read:0.1,read:0.2", "read:0.1,,write:0.1"}) {
+                          "frobnicate:0.5", "worker:0.5", "read:0.1,read:0.2",
+                          "read:0.1,,write:0.1"}) {
     EXPECT_THROW((void)FaultSpec::parse(bad), InvariantError) << "spec: '" << bad << "'";
   }
 }
@@ -130,13 +132,15 @@ TEST(FaultPlan, DecisionsArePureFunctionsOfSeedSiteLaneCounter) {
 TEST(FaultPlan, ExtremeProbabilitiesAndApproximateRate) {
   FaultSpec spec;
   spec.probability[static_cast<std::size_t>(FaultSite::kWrite)] = 1.0;
-  spec.probability[static_cast<std::size_t>(FaultSite::kWorker)] = 0.25;
   const FaultPlan plan(spec, 3);
+  FaultSpec quarter_spec;
+  quarter_spec.probability[static_cast<std::size_t>(FaultSite::kRead)] = 0.25;
+  const FaultPlan quarter(quarter_spec, 3);
   std::size_t fires = 0;
   for (std::uint64_t c = 0; c < 4096; ++c) {
     EXPECT_TRUE(plan.should_fire(FaultSite::kWrite, c));
     EXPECT_FALSE(plan.should_fire(FaultSite::kRead, c)) << "p=0 must never fire";
-    if (plan.should_fire(FaultSite::kWorker, c)) ++fires;
+    if (quarter.should_fire(FaultSite::kRead, c)) ++fires;
   }
   EXPECT_GT(fires, 4096 * 0.18);
   EXPECT_LT(fires, 4096 * 0.32);
@@ -144,20 +148,20 @@ TEST(FaultPlan, ExtremeProbabilitiesAndApproximateRate) {
 
 TEST(FaultPlan, MaybeThrowNamesSiteContextAndCoordinates) {
   FaultSpec spec;
-  spec.probability[static_cast<std::size_t>(FaultSite::kWorker)] = 1.0;
+  spec.probability[static_cast<std::size_t>(FaultSite::kRead)] = 1.0;
   const FaultPlan plan(spec, 11);
   try {
-    plan.maybe_throw(FaultSite::kWorker, 5, 2, "shard worker 2/4");
+    plan.maybe_throw(FaultSite::kRead, 5, 2, "trace reader of core 2");
     FAIL() << "p=1 plan must fire";
   } catch (const InjectedFault& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("injected worker fault"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("shard worker 2/4"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("injected read fault"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("trace reader of core 2"), std::string::npos) << msg;
     EXPECT_NE(msg.find("opportunity 5"), std::string::npos) << msg;
     EXPECT_NE(msg.find("lane 2"), std::string::npos) << msg;
   }
   // InjectedFault must be retryable by construction.
-  EXPECT_THROW(plan.maybe_throw(FaultSite::kWorker, 0, 0, "x"), TransientError);
+  EXPECT_THROW(plan.maybe_throw(FaultSite::kRead, 0, 0, "x"), TransientError);
 }
 
 // ---------------------------------------------------------------------------
@@ -435,7 +439,7 @@ TEST(JobsFingerprint, CoversIdentityButNotPerformanceKnobs) {
   auto resharded = jobs;
   for (auto& j : resharded) j.sim_threads = 8;
   EXPECT_EQ(runner::jobs_fingerprint(jobs), runner::jobs_fingerprint(resharded))
-      << "sim_threads is a performance knob, not job identity";
+      << "sim_threads is not part of job identity";
   auto reseeded = jobs;
   reseeded[0].seed ^= 1;
   EXPECT_NE(runner::jobs_fingerprint(jobs), runner::jobs_fingerprint(reseeded));
@@ -504,27 +508,21 @@ TEST_F(SupervisionTest, ResumeAfterLostRecordsIsByteIdentical) {
 }
 
 TEST_F(SupervisionTest, SerialWatchdogThrowsTimeoutError) {
-  const auto jobs = tiny_matrix().expand();
-  runner::ExecuteControls controls;
-  controls.timeout_s = 1e-6;
-  try {
-    (void)runner::execute(jobs[0], controls);
-    FAIL() << "a microsecond deadline must trip on a 25k-op job";
-  } catch (const TimeoutError& e) {
-    EXPECT_NE(std::string(e.what()).find("serial"), std::string::npos) << e.what();
-  }
-}
-
-TEST_F(SupervisionTest, ShardedWatchdogAbortsAndJoinsWorkersCleanly) {
-  auto jobs = tiny_matrix().expand();
-  jobs[0].sim_threads = 3;  // under TSan this also proves a race-free abort path
-  runner::ExecuteControls controls;
-  controls.timeout_s = 1e-6;
-  try {
-    (void)runner::execute(jobs[0], controls);
-    FAIL() << "the sharded watchdog must trip";
-  } catch (const TimeoutError& e) {
-    EXPECT_NE(std::string(e.what()).find("set-sharded"), std::string::npos) << e.what();
+  // Functional and timed runs share one replay loop and one watchdog poll;
+  // the deadline must trip in both, and the error must name the mode.
+  const std::pair<sim::TimingMode, const char*> modes[] = {
+      {sim::TimingMode::kFunctional, "(serial run)"}, {sim::TimingMode::kTimed, "(timed run)"}};
+  for (const auto& [timing, label] : modes) {
+    auto job = tiny_matrix().expand()[0];
+    job.timing = timing;
+    runner::ExecuteControls controls;
+    controls.timeout_s = 1e-6;
+    try {
+      (void)runner::execute(job, controls);
+      ADD_FAILURE() << label << ": a microsecond deadline must trip on a 25k-op job";
+    } catch (const TimeoutError& e) {
+      EXPECT_NE(std::string(e.what()).find(label), std::string::npos) << e.what();
+    }
   }
 }
 
@@ -536,22 +534,6 @@ TEST_F(SupervisionTest, TimeoutsAreNotRetried) {
   opts.retry_backoff_ms = 0;
   opts.job_timeout_s = 1e-6;
   EXPECT_THROW((void)runner::SweepExecutor(opts).run(m.expand()), TimeoutError);
-}
-
-TEST_F(SupervisionTest, WorkerFaultsFireInsideShardedRuns) {
-  auto jobs = tiny_matrix().expand();
-  jobs[0].sim_threads = 2;
-  FaultSpec spec;
-  spec.probability[static_cast<std::size_t>(FaultSite::kWorker)] = 1.0;
-  runner::ExecuteControls controls;
-  controls.faults = std::make_shared<FaultPlan>(spec, 17);
-  try {
-    (void)runner::execute(jobs[0], controls);
-    FAIL() << "a p=1 worker plan must kill the first owned access";
-  } catch (const InjectedFault& e) {
-    EXPECT_NE(std::string(e.what()).find("injected worker fault"), std::string::npos)
-        << e.what();
-  }
 }
 
 class TraceFaultTest : public ScratchDirTest {
